@@ -145,9 +145,11 @@ let jobs_arg =
         ~doc:
           "Worker domains from the persistent pool (default 1: sequential; also settable \
            via $(b,PGPU_JOBS)). Parallelises candidate expansion at compile time and, at \
-           run time, TDO trial execution and sharded grid simulation. Outputs, counters \
-           and TDO choices are bit-identical at any value; runs with $(b,--trace), \
-           $(b,--metrics) or $(b,--racecheck) fall back to sequential execution.")
+           run time, TDO trial execution and sharded grid simulation. TDO trials always \
+           run on cloned machines; $(b,--jobs) only sets how many run at once. Outputs, \
+           counters, TDO choices and traces are bit-identical at any value; with \
+           $(b,--trace), $(b,--metrics) or the dynamic race checker attached, only launch \
+           sharding falls back to one domain.")
 
 let engine_arg =
   Arg.(

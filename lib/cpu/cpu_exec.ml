@@ -59,6 +59,7 @@ let core_machine (t : Descriptor.t) : Exec.machine =
     observed_threads = 1;
     shared_as_global = false;
     racecheck = None;
+    ephemeral = false;
     scratch = Array.make 64 0;
     bank_counts = Array.make 64 0;
   }

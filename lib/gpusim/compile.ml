@@ -2443,7 +2443,8 @@ let run_block (inst : instance) ~(sm : int) (lb : int) : unit =
     rebinds the frame (behaviourally identical to a fresh instantiate);
     a miss instantiates outside the lock and pushes, truncating the
     pool. Pool state never affects simulation results, only how much
-    frame allocation a launch re-does. *)
+    frame allocation a launch re-does. Ephemeral (TDO trial) machines
+    bypass the pool. *)
 let pool_max = 8
 
 let pooled_instance (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
@@ -2530,7 +2531,9 @@ let launch ?(jobs = 1) (m : Exec.machine) ~(mode : Exec.mode) ~(env : Exec.env) 
             wrappers
         end
         else begin
-          let inst = pooled_instance ck m ~env in
+          let inst =
+            if m.Exec.ephemeral then instantiate ck m ~env else pooled_instance ck m ~env
+          in
           for j = 0 to executed - 1 do
             let lb = indices.(j) in
             (match m.Exec.racecheck with None -> () | Some rc -> Racecheck.new_block rc lb);

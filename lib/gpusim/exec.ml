@@ -50,6 +50,10 @@ type machine = {
   mutable racecheck : Racecheck.t option;
       (** opt-in dynamic race detector; [None] (the default) keeps
           every instrumentation hook to a single match *)
+  ephemeral : bool;
+      (** a short-lived copy made by {!clone_machine}: compiled kernels
+          instantiated on it stay out of their instance pool, which
+          would otherwise keep the copy and its L2 reachable *)
   scratch : int array;
       (** per-machine scratch for the warp-request modelling (warps
           have at most 64 lanes); lives here so machines owned by
@@ -74,42 +78,20 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
     observed_threads = 1;
     shared_as_global = false;
     racecheck = None;
+    ephemeral = false;
     scratch = Array.make 64 0;
     bank_counts = Array.make 64 0;
   }
 
-type machine_snapshot = {
-  ms_alloc : int * int;
-  ms_l2s : Cache.snapshot array;
-  ms_next_sm : int;
-}
-
-(** Save/restore the machine state that persists across launches
-    (allocator position, L2 slice contents, SM round-robin pointer), so
-    speculative executions — TDO trials — leave no trace on the timing
-    of the committed execution that follows. Buffer contents are
-    snapshotted separately by the runtime. *)
-let snapshot_machine m =
-  {
-    ms_alloc = Memory.allocator_mark m.alloc;
-    ms_l2s = Array.map Cache.snapshot m.l2s;
-    ms_next_sm = m.next_sm;
-  }
-
-let restore_machine m s =
-  Memory.allocator_reset m.alloc s.ms_alloc;
-  Array.iteri (fun i snap -> Cache.restore m.l2s.(i) snap) s.ms_l2s;
-  m.next_sm <- s.ms_next_sm
-
 (** A fully private copy of [m]: no mutable state is shared with the
     source, so the clone can execute on another domain concurrently
-    with the original. Used by the parallel TDO search to give each
-    trial its own machine instead of serializing trials through one
-    snapshot/restore cycle. The race detector is deliberately not
-    carried over (trial machines never race-check). *)
+    with the original. Used by the TDO search to give each trial its
+    own machine. The race detector is deliberately not carried over
+    (trial machines never race-check). *)
 let clone_machine m =
   {
     m with
+    ephemeral = true;
     alloc = Memory.clone_allocator m.alloc;
     l2s = Array.map Cache.clone m.l2s;
     (* L1 contents never outlive a launch (every launch resets them),

@@ -43,6 +43,10 @@ type machine = {
   mutable racecheck : Racecheck.t option;
       (** opt-in dynamic race detector; [None] (the default) keeps
           every instrumentation hook to a single match *)
+  ephemeral : bool;
+      (** a short-lived copy made by {!clone_machine}: compiled kernels
+          instantiated on it stay out of their instance pool, which
+          would otherwise keep the copy and its L2 reachable *)
   scratch : int array;
       (** per-machine scratch for the warp-request modelling (warps
           have at most 64 lanes); lives here so machines owned by
@@ -52,21 +56,11 @@ type machine = {
 
 val create_machine : Pgpu_target.Descriptor.t -> machine
 
-type machine_snapshot
-
-(** Save/restore the machine state that persists across launches
-    (allocator position, L2 contents, SM round-robin pointer), so
-    speculative executions — TDO trials — leave no trace on the timing
-    of the committed execution that follows. *)
-val snapshot_machine : machine -> machine_snapshot
-
-val restore_machine : machine -> machine_snapshot -> unit
-
 val clone_machine : machine -> machine
-(** A fully private copy of [m] sharing no mutable state with the
-    source, safe to execute on another domain concurrently with the
-    original (the race detector is not carried over). Used by the
-    parallel TDO search to give each trial its own machine. *)
+(** A fully private, [ephemeral] copy of [m] sharing no mutable state
+    with the source, safe to execute on another domain concurrently
+    with the original (the race detector is not carried over). Used by
+    the TDO search to give each trial its own machine. *)
 
 type env = (int, rv) Hashtbl.t
 

@@ -40,10 +40,10 @@ type config = {
   jobs : int;
       (** host OCaml domains (from the persistent {!Pgpu_support.Pool})
           used by the CPU backend's chunked block execution, by the
-          GPU simulator's sharded launches and by the parallel TDO
-          search. Results are bit-identical for every value of [jobs];
-          tracing or an attached race detector falls the run back to
-          sequential execution. *)
+          GPU simulator's sharded launches and by the TDO trials, which
+          always run on cloned machines. Results are bit-identical for
+          every value of [jobs]; tracing or an attached race detector
+          only makes committed GPU launches unsharded. *)
   tune : bool;  (** enable timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region used when [tune] is false *)
   host_op_cost : float;  (** seconds charged per interpreted host instruction *)
@@ -55,8 +55,8 @@ type config = {
   cache : Cache.t;
       (** persistent TDO cache: committed choices are stored by
           (kernel hash, target, launch signature, alternative descs),
-          so warm runs skip trial execution and buffer snapshots while
-          reproducing the cold run's choices; [Cache.disabled] = off *)
+          so warm runs skip trial execution while reproducing the cold
+          run's choices; [Cache.disabled] = off *)
   racecheck : Racecheck.t option;
       (** dynamic shared-memory race detector attached to the simulator
           for the whole run; [None] (the default) costs nothing *)
@@ -232,33 +232,49 @@ let eval_intrinsic st (results : Value.t list) name (args : Value.t list) =
         (List.length results)
 
 (* ------------------------------------------------------------------ *)
-(* Buffer snapshot/restore for TDO trials                              *)
+(* Private trial state                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_buffers st =
-  let seen = Hashtbl.create 16 in
+(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
+    id, including per-lane buffer vectors), leaving scalars shared: a
+    TDO trial's functional writes and host-prelude bindings land in
+    private copies and never touch the live data or environment. *)
+let clone_trial_env (env : Exec.env) : Exec.env =
+  let copy = Hashtbl.copy env in
+  let cloned = Hashtbl.create 16 in
+  let clone_buf (b : Memory.buf) =
+    match Hashtbl.find_opt cloned b.Memory.id with
+    | Some b' -> b'
+    | None ->
+        let data =
+          match b.Memory.data with
+          | Memory.I a -> Memory.I (Array.copy a)
+          | Memory.F a -> Memory.F (Array.copy a)
+        in
+        let b' = { b with Memory.data } in
+        Hashtbl.replace cloned b.Memory.id b';
+        b'
+  in
   Hashtbl.iter
-    (fun _ rv ->
+    (fun k rv ->
       match rv with
-      | Exec.UB b when not (Hashtbl.mem seen b.Memory.id) ->
-          let copy =
-            match b.Memory.data with
-            | Memory.I a -> Memory.I (Array.copy a)
-            | Memory.F a -> Memory.F (Array.copy a)
-          in
-          Hashtbl.replace seen b.Memory.id (b, copy)
+      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
+      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
       | _ -> ())
-    st.env;
-  seen
+    env;
+  copy
 
-let restore_buffers snap =
-  Hashtbl.iter
-    (fun _ (b, copy) ->
-      match (b.Memory.data, copy) with
-      | Memory.I dst, Memory.I src -> Array.blit src 0 dst 0 (Array.length src)
-      | Memory.F dst, Memory.F src -> Array.blit src 0 dst 0 (Array.length src)
-      | Memory.I _, Memory.F _ | Memory.F _, Memory.I _ -> assert false)
-    snap
+(** Whether a candidate region holds a nested launch site
+    ([gpu_wrapper] or [alternatives]): such a site tunes through the
+    shared choice tables mid-trial, so its search runs trials in
+    order on the calling domain. *)
+let has_nested_site region =
+  let nested = ref false in
+  Instr.iter_deep
+    (fun i ->
+      match i with Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true | _ -> ())
+    region;
+  !nested
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launches                                                     *)
@@ -359,27 +375,30 @@ let cpu_lowered st ~wid ~alt (region : Instr.block) =
 
 (** Execute one kernel region (the selected alternatives region or the
     plain wrapper body): leading host instructions are evaluated, each
-    grid-level parallel is launched. *)
-let rec exec_kernel_region st ~name ~wid ~alt (region : Instr.block) =
+    grid-level parallel is launched. Returns the summed estimated
+    seconds of the launches, which is what a TDO trial measures. *)
+let rec exec_kernel_region st ~name ~wid ~alt (region : Instr.block) : float =
   let region = if cpu_mode st then cpu_lowered st ~wid ~alt region else region in
   let stats = kernel_stats st ~wid ~alt region in
-  List.iter
-    (fun i ->
+  List.fold_left
+    (fun seconds i ->
       match i with
       | Instr.Parallel { level = Instr.Blocks; _ } ->
           let mode : Exec.mode =
             if st.trial || not st.config.functional then `Sample st.config.sample_blocks else `All
           in
+          (* trials measure without the demotion; only the committed
+             launch applies it *)
           let offload =
             match st.config.target.Descriptor.vendor with
-            | Descriptor.Amd ->
+            | Descriptor.Amd when not st.trial ->
                 let tb =
                   match Backend.find_threads_body region with
                   | Some _ -> Exec.block_dims_of st.env region |> List.fold_left ( * ) 1
                   | None -> 1
                 in
                 tb > 0 && stats.Backend.static_shmem / max 1 tb > amd_shared_offload_threshold
-            | Descriptor.Nvidia | Descriptor.Generic -> false
+            | Descriptor.Amd | Descriptor.Nvidia | Descriptor.Generic -> false
           in
           let shmem =
             if offload then 0 (* demoted: no occupancy pressure from shared memory *)
@@ -463,9 +482,12 @@ let rec exec_kernel_region st ~name ~wid ~alt (region : Instr.block) =
                 seconds = breakdown.Timing.seconds;
               }
               :: st.records
-          end
-      | _ -> exec_host_instr st i)
-    region
+          end;
+          seconds +. breakdown.Timing.seconds
+      | _ ->
+          exec_host_instr st i;
+          seconds)
+    0. region
 
 (** Magnitude-bucketed signature of a launch site's integer inputs:
     the timing-driven optimization re-tunes a site when the scale of
@@ -530,12 +552,13 @@ and cached_choice st ckey n =
       | None -> None)
 
 (** Timing-driven optimization: measure every region of an
-    [Alternatives] op once per launch signature (sampled, on scratch
-    copies of the live buffers) and commit to the fastest feasible
-    one. Regions that are infeasible on the target are skipped, which
-    subsumes the static shared-memory pruning at runtime. A choice
-    found in the persistent cache is committed directly: no trials, no
-    buffer snapshot — the warm run replays the cold run's decision. *)
+    [Alternatives] op once per launch signature (sampled, on private
+    copies of the machine and buffers) and commit to the fastest
+    feasible one. Regions that are infeasible on the target are
+    skipped, which subsumes the static shared-memory pruning at
+    runtime. A choice found in the persistent cache is committed
+    directly, without trials — the warm run replays the cold run's
+    decision. *)
 and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : string list) regions =
   match Hashtbl.find_opt st.choices (aid, signature) with
   | Some k -> k
@@ -561,14 +584,23 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
                 "tdo:choice";
               k
           | None -> begin
-          let times =
-            if List.length regions > 1 && parallel_tdo_ok st regions then
-              parallel_trial_times st ~name ~wid regions
-            else sequential_trial_times st ~name ~wid ~descs regions
-          in
+          let times = trial_times st ~name ~wid regions in
+          Array.iteri
+            (fun k t ->
+              Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
+                ~args:
+                  [
+                    ("kernel", Json.Str name);
+                    ("alternative", Json.Int k);
+                    ("spec", Json.Str (List.nth descs k));
+                    ("seconds", Json.Float t);
+                    ("feasible", Json.Bool (Float.is_finite t));
+                  ]
+                "tdo:trial")
+            times;
           (* stable argmin — strictly-less in index order — so the
              committed choice is identical however trials were
-             scheduled, sequentially or across domains *)
+             scheduled, in order or across domains *)
           let best = ref (-1) and best_t = ref infinity in
           Array.iteri
             (fun k t ->
@@ -608,66 +640,16 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
       Hashtbl.replace st.choices (aid, signature) k;
       k
 
-(** Whether the TDO search may fan trials out over the domain pool:
-    needs [jobs > 1], no tracer (trial instants observe trial order),
-    no race detector, and no nested wrapper/alternatives inside any
-    candidate (a nested site would tune through the shared choice
-    tables mid-trial). *)
-and parallel_tdo_ok st regions =
-  Pgpu_support.Pool.effective_jobs st.config.jobs > 1
-  && (not (Tracer.enabled st.config.tracer))
-  && st.config.racecheck = None
-  && not
-       (List.exists
-          (fun region ->
-            let nested = ref false in
-            Instr.iter_deep
-              (fun i ->
-                match i with
-                | Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true
-                | _ -> ())
-              region;
-            !nested)
-          regions)
-
-(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
-    id, including per-lane buffer vectors), leaving scalars shared: the
-    trial's functional writes land in private arrays, exactly like the
-    sequential path's snapshot/restore — without ever touching the
-    live data. *)
-and clone_trial_env (env : Exec.env) : Exec.env =
-  let copy = Hashtbl.copy env in
-  let cloned = Hashtbl.create 16 in
-  let clone_buf (b : Memory.buf) =
-    match Hashtbl.find_opt cloned b.Memory.id with
-    | Some b' -> b'
-    | None ->
-        let data =
-          match b.Memory.data with
-          | Memory.I a -> Memory.I (Array.copy a)
-          | Memory.F a -> Memory.F (Array.copy a)
-        in
-        let b' = { b with Memory.data } in
-        Hashtbl.replace cloned b.Memory.id b';
-        b'
-  in
-  Hashtbl.iter
-    (fun k rv ->
-      match rv with
-      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
-      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
-      | _ -> ())
-    env;
-  copy
-
-(** Concurrent TDO trials on the persistent pool: each candidate runs
-    on a fully private state (cloned machine, deep-copied buffers, its
-    own env), so no snapshot/restore cycle and no cross-trial cache
-    pollution — every trial sees exactly the pre-search machine, which
-    is also what each sequential trial sees after the restores. The
-    shared memo tables (per-site stats, fissioned regions, compiled
-    kernels) are warmed sequentially first so trials only read them. *)
-and parallel_trial_times st ~name ~wid regions =
+(** TDO trials: every candidate runs on a fully private state — a
+    cloned machine, deep-copied buffers and its own environment — so a
+    trial leaves no trace on the live machine, buffers or bindings and
+    sees exactly the pre-search state the committed execution starts
+    from. Trials fan out over the persistent pool ([jobs = 1] is a
+    plain in-order map). The shared memo tables (per-site stats,
+    fissioned regions, compiled kernels) are warmed first so trials
+    only read them, and trials run with the tracer off: the caller
+    reports them in index order. *)
+and trial_times st ~name ~wid regions =
   List.iteri
     (fun k region ->
       let region = if cpu_mode st then cpu_lowered st ~wid ~alt:k region else region in
@@ -682,132 +664,24 @@ and parallel_trial_times st ~name ~wid regions =
             region
       | Engine.Interp -> ())
     regions;
-  let pool = Pgpu_support.Pool.get () in
-  let trials =
-    Pgpu_support.Pool.map pool ~jobs:st.config.jobs
-      (fun (k, region) ->
-        let tenv = clone_trial_env st.env in
-        let ts =
-          {
-            st with
-            machine = Exec.clone_machine st.machine;
-            env = tenv;
-            records = [];
-            trial = true;
-          }
-        in
-        let probe = ref 0. in
-        let t =
-          try
-            exec_kernel_region_probe ts ~name ~wid ~alt:k region probe;
-            !probe
-          with Timing.Infeasible _ | Exec.Device_error _ -> infinity
-        in
-        (t, tenv))
-      (List.mapi (fun k r -> (k, r)) regions)
-  in
-  (* Replicate the sequential search's env side effect: a trial binds
-     the SSA results of its region's host prelude while probing, and
-     the committed execution's lowering resolves thread extents (e.g.
-     a coarsened extent computed as [bs / f]) through those bindings.
-     Trials only bind region-local ids (candidate regions are clones
-     with disjoint SSA ids), so copying each trial env's new keys back
-     adds exactly the bindings the sequential trials would have left
-     in [st.env] — pre-existing keys (notably the live buffers, which
-     the trial env rebinds to private copies) are never overwritten. *)
-  List.iter
-    (fun (_, tenv) ->
-      Hashtbl.iter
-        (fun key v -> if not (Hashtbl.mem st.env key) then Hashtbl.replace st.env key v)
-        tenv)
-    trials;
-  List.map fst trials |> Array.of_list
-
-(** Sequential trials on the live state: each region runs on scratch
-    copies of the live buffers; machine state (allocator, L2 slices,
-    SM pointer) is restored after every trial so the committed
-    execution — and therefore the composite time — is bit-identical
-    whether trials ran or were answered from the cache. *)
-and sequential_trial_times st ~name ~wid ~descs regions =
-  let snap = snapshot_buffers st in
-  let msnap = Exec.snapshot_machine st.machine in
-  let times = Array.make (List.length regions) infinity in
-  List.iteri
-    (fun k region ->
-      st.trial <- true;
-      let t =
-        Fun.protect
-          ~finally:(fun () ->
-            st.trial <- false;
-            restore_buffers snap;
-            Exec.restore_machine st.machine msnap)
-          (fun () ->
-            let probe = ref 0. in
-            try
-              exec_kernel_region_probe st ~name ~wid ~alt:k region probe;
-              !probe
-            with Timing.Infeasible _ | Exec.Device_error _ -> infinity)
+  let jobs = if List.exists has_nested_site regions then 1 else st.config.jobs in
+  let config = { st.config with tracer = Tracer.disabled } in
+  Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
+    (fun (k, region) ->
+      let ts =
+        {
+          st with
+          config;
+          machine = Exec.clone_machine st.machine;
+          env = clone_trial_env st.env;
+          records = [];
+          trial = true;
+        }
       in
-      Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
-        ~args:
-          [
-            ("kernel", Json.Str name);
-            ("alternative", Json.Int k);
-            ("spec", Json.Str (List.nth descs k));
-            ("seconds", Json.Float t);
-            ("feasible", Json.Bool (Float.is_finite t));
-          ]
-        "tdo:trial";
-      times.(k) <- t)
-    regions;
-  times
-
-and exec_kernel_region_probe st ~name:_ ~wid ~alt region acc =
-  (* like [exec_kernel_region] but accumulates estimated seconds in
-     [acc]; used for TDO trials *)
-  let region = if cpu_mode st then cpu_lowered st ~wid ~alt region else region in
-  let stats = kernel_stats st ~wid ~alt region in
-  List.iter
-    (fun i ->
-      match i with
-      | Instr.Parallel { level = Instr.Blocks; _ } ->
-          let demand =
-            {
-              Timing.regs_per_thread = stats.Backend.regs_per_thread;
-              shmem_per_block = stats.Backend.static_shmem;
-              ilp = stats.Backend.ilp;
-              mlp = stats.Backend.mlp;
-            }
-          in
-          let breakdown =
-            if cpu_mode st then begin
-              let compiled =
-                match st.config.engine with
-                | Engine.Compiled -> Some (compiled_kernel st i)
-                | Engine.Interp -> None
-              in
-              let cres =
-                Cpu_exec.launch st.config.target ?compiled ~jobs:st.config.jobs
-                  ~mode:(`Sample st.config.sample_blocks) ~env:st.env i
-              in
-              Cpu_timing.estimate st.config.target ~demand
-                ~vector_fraction:cres.Cpu_exec.vector_fraction cres.Cpu_exec.result
-            end
-            else
-              let result =
-                match st.config.engine with
-                | Engine.Compiled ->
-                    Compile.launch ~jobs:(launch_jobs st) st.machine
-                      ~mode:(`Sample st.config.sample_blocks) ~env:st.env (compiled_kernel st i)
-                | Engine.Interp ->
-                    Exec.launch ~jobs:(launch_jobs st) st.machine
-                      ~mode:(`Sample st.config.sample_blocks) ~env:st.env i
-              in
-              Timing.estimate st.config.target ~demand result
-          in
-          acc := !acc +. breakdown.Timing.seconds
-      | _ -> exec_host_instr st i)
-    region
+      try exec_kernel_region ts ~name ~wid ~alt:k region
+      with Timing.Infeasible _ | Exec.Device_error _ -> infinity)
+    (List.mapi (fun k r -> (k, r)) regions)
+  |> Array.of_list
 
 and exec_wrapper st ~name ~wid (body : Instr.block) =
   match body with
@@ -819,8 +693,8 @@ and exec_wrapper st ~name ~wid (body : Instr.block) =
         if st.config.tune then tdo_cache_key st ~wid ~signature descs body else None
       in
       let k = choose_alternative st ~name ~wid ~signature ?ckey aid descs regions in
-      exec_kernel_region st ~name ~wid ~alt:k (List.nth regions k)
-  | _ -> exec_kernel_region st ~name ~wid ~alt:(-1) body
+      ignore (exec_kernel_region st ~name ~wid ~alt:k (List.nth regions k))
+  | _ -> ignore (exec_kernel_region st ~name ~wid ~alt:(-1) body)
 
 (* ------------------------------------------------------------------ *)
 (* Host control flow                                                   *)

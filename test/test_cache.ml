@@ -236,16 +236,21 @@ let test_jobs_deterministic () =
 let count_events name tracer =
   List.length (List.filter (fun e -> Tracer.event_name e = name) (Tracer.events tracer))
 
-let test_warm_tdo_golden () =
+(** Cold then warm tuned run of [bench] on [target] against one cache
+    directory. On [cpu] this also pins that trials leave nothing behind
+    that the committed execution's fission lowering could read: the
+    warm run executes no trials, so any such leak shows as a composite
+    mismatch. *)
+let test_warm_tdo_golden target bench () =
   let dir = temp_dir () in
-  let b = P.Rodinia.find "nn" in
+  let b = P.Rodinia.find bench in
   let specs = P.specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ] in
   (* each pass opens the cache directory afresh, as a new process
      would *)
   let pass () =
     let cache = Cache.create ~dir () in
     let tracer = Tracer.create () in
-    let c = P.compile ~specs ~cache ~target:Descriptor.a100 ~source:b.P.Bench_def.source () in
+    let c = P.compile ~specs ~cache ~target ~source:b.P.Bench_def.source () in
     let r = P.run ~tune:true ~cache ~tracer c ~args:b.P.Bench_def.args in
     (r, count_events "tdo:trial" tracer, count_events "tdo:choice" tracer)
   in
@@ -261,8 +266,9 @@ let test_warm_tdo_golden () =
   in
   Alcotest.(check bool) "same TDO choices" true (choices r_cold = choices r_warm);
   Alcotest.(check bool) "bit-identical outputs" true (r_cold.P.outputs = r_warm.P.outputs);
-  Alcotest.(check bool) "bit-identical composite time" true
-    (Float.equal r_cold.P.composite_seconds r_warm.P.composite_seconds)
+  Alcotest.(check int64) "bit-identical composite time"
+    (Int64.bits_of_float r_cold.P.composite_seconds)
+    (Int64.bits_of_float r_warm.P.composite_seconds)
 
 let suite =
   [
@@ -279,6 +285,11 @@ let suite =
         Alcotest.test_case "atomic fresh ids across domains" `Quick test_atomic_fresh;
         Alcotest.test_case "expansion dedups structurally equal candidates" `Quick test_dedup;
         Alcotest.test_case "parallel expansion is deterministic" `Quick test_jobs_deterministic;
-        Alcotest.test_case "warm TDO cache: golden replay" `Quick test_warm_tdo_golden;
+        Alcotest.test_case "warm TDO cache: golden replay" `Quick
+          (test_warm_tdo_golden Descriptor.a100 "nn");
+        Alcotest.test_case "warm TDO cache: golden replay on cpu (lud)" `Quick
+          (test_warm_tdo_golden Descriptor.cpu "lud");
+        Alcotest.test_case "warm TDO cache: golden replay on cpu (nw)" `Quick
+          (test_warm_tdo_golden Descriptor.cpu "nw");
       ] );
   ]

@@ -5,9 +5,10 @@
       exception propagation, nested submissions running inline, slot
       bounds, and map/List.map agreement;
     - a qcheck property that the runtime picks identical TDO
-      alternatives and produces identical outputs, counters and
-      simulated times on random barrier kernels whatever the [jobs]
-      setting ({1, 2, 4} x {a100, rx6800, cpu}).
+      alternatives and produces identical outputs, counters, simulated
+      times and — with a tracer attached — trace events on random
+      barrier kernels whatever the [jobs] setting
+      ({1, 2, 4} x {a100, rx6800, cpu}, untraced and traced).
 
     The container running the tests may have a single core, which would
     make [Pool.effective_jobs] collapse every parallel request to
@@ -21,6 +22,7 @@ module Runtime = Pgpu_runtime.Runtime
 module Exec = Pgpu_gpusim.Exec
 module Descriptor = Pgpu_target.Descriptor
 module Pipeline = Pgpu_transforms.Pipeline
+module Tracer = Pgpu_trace.Tracer
 
 (** Run [f] with the pool sized as if the machine had 4 cores. *)
 let with_forced_cores f =
@@ -86,7 +88,7 @@ let test_effective_jobs_cap () =
   Alcotest.(check int) "never below 1" 1 (Pool.effective_jobs 0)
 
 (* ------------------------------------------------------------------ *)
-(* TDO parity: parallel and sequential searches agree bit-for-bit      *)
+(* TDO parity: every --jobs setting agrees bit-for-bit                *)
 (* ------------------------------------------------------------------ *)
 
 type observation = {
@@ -94,9 +96,10 @@ type observation = {
   choices : (string * int option) list;
   counters : Pgpu_gpusim.Counters.t list;
   seconds : int64 list;  (** per-launch simulated seconds, bitwise *)
+  events : Tracer.event list;  (** empty when untraced *)
 }
 
-let observe (target : Descriptor.t) m ~nblocks ~jobs : observation =
+let observe (target : Descriptor.t) m ~nblocks ~jobs ~traced : observation =
   let opts =
     {
       (Pipeline.default_options target) with
@@ -104,7 +107,8 @@ let observe (target : Descriptor.t) m ~nblocks ~jobs : observation =
     }
   in
   let m', _ = Pipeline.compile opts m in
-  let config = { (Runtime.default_config target) with Runtime.tune = true; jobs } in
+  let tracer = if traced then Tracer.create () else Tracer.disabled in
+  let config = { (Runtime.default_config target) with Runtime.tune = true; jobs; tracer } in
   let results, st = Runtime.run config m' [ Exec.UI nblocks ] in
   let records = Runtime.records st in
   {
@@ -117,13 +121,16 @@ let observe (target : Descriptor.t) m ~nblocks ~jobs : observation =
     counters =
       List.map (fun (l : Runtime.launch_record) -> l.Runtime.result.Exec.counters) records;
     seconds = List.map (fun (l : Runtime.launch_record) -> Int64.bits_of_float l.Runtime.seconds) records;
+    events = Tracer.events tracer;
   }
 
 let check_parity ~what (a : observation) (b : observation) =
   if a.outputs <> b.outputs then QCheck.Test.fail_reportf "%s: outputs differ" what;
   if a.choices <> b.choices then QCheck.Test.fail_reportf "%s: TDO choices differ" what;
   if a.counters <> b.counters then QCheck.Test.fail_reportf "%s: counters differ" what;
-  if a.seconds <> b.seconds then QCheck.Test.fail_reportf "%s: simulated times differ" what
+  if a.seconds <> b.seconds then QCheck.Test.fail_reportf "%s: simulated times differ" what;
+  (* [compare], not [=]: event args may hold floats *)
+  if compare a.events b.events <> 0 then QCheck.Test.fail_reportf "%s: trace events differ" what
 
 (** Kernels with at least one cross-thread shared-memory step, so TDO
     has real alternatives to weigh and the CPU target must fission. *)
@@ -143,16 +150,20 @@ let prop_tdo_parity =
       let m = Test_random_kernels.build_module d in
       let nblocks = d.Test_random_kernels.nblocks in
       List.iter
-        (fun target ->
-          let seq = observe target m ~nblocks ~jobs:1 in
+        (fun (target, traced) ->
+          let seq = observe target m ~nblocks ~jobs:1 ~traced in
           List.iter
             (fun jobs ->
-              let par = observe target m ~nblocks ~jobs in
+              let par = observe target m ~nblocks ~jobs ~traced in
               check_parity
-                ~what:(Fmt.str "%s at jobs=%d" target.Descriptor.name jobs)
+                ~what:
+                  (Fmt.str "%s at jobs=%d%s" target.Descriptor.name jobs
+                     (if traced then ", traced" else ""))
                 seq par)
             [ 2; 4 ])
-        [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ];
+        (List.concat_map
+           (fun target -> [ (target, false); (target, true) ])
+           [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ]);
       true)
 
 let suite =
