@@ -16,7 +16,12 @@
 
     - Fourier–Motzkin elimination over the rationals, with integer
       tightening (rows are gcd-normalized with floor division), which
-      is a sound infeasibility test over the integers;
+      is a sound infeasibility test over the integers; when it fails
+      on a system with equalities it is retried after substituting
+      away every variable with a unit coefficient in an equality
+      (exact over the integers), since the order in which
+      Fourier–Motzkin eliminates the variables of an equality decides
+      whether tightening sees their congruence;
     - a modulus-interval test for each equality [E = 0]: for a
       candidate modulus [m] dividing some coefficients, the
       non-divisible residue [S] must be a multiple of [m]; its weak
@@ -88,14 +93,17 @@ let is_thread_dep a = not (is_uniform a)
 let has_thread a =
   List.exists (fun (s, _) -> match s.kind with Thread _ -> true | Local | Shared -> false) a.terms
 
+(** Apply [f] to every symbol, in term order, and restore the sid
+    order of the terms. [f] must be injective on the symbols of [a]. *)
+let map_syms (f : sym -> sym) a =
+  let terms = List.map (fun (s, c) -> (f s, c)) a.terms in
+  { a with terms = List.sort (fun (s1, _) (s2, _) -> compare s1.sid s2.sid) terms }
+
 (** Rename the per-instance symbols (thread ivs and local loop
     counters); shared symbols are preserved so both instances agree on
     them. *)
 let rename (f : sym -> sym) a =
-  let terms =
-    List.map (fun (s, c) -> ((match s.kind with Shared -> s | Thread _ | Local -> f s), c)) a.terms
-  in
-  { a with terms = List.sort (fun (s1, _) (s2, _) -> compare s1.sid s2.sid) terms }
+  map_syms (fun s -> match s.kind with Shared -> s | Thread _ | Local -> f s) a
 
 let pp ppf a =
   let pp_term first ppf (s, c) =
@@ -230,7 +238,7 @@ let fm_infeasible (rows : row list) : bool =
               | None -> (p, n, row :: r))
             ([], [], []) rows
         in
-        let out = ref rest in
+        let out = ref rest and n_out = ref (List.length rest) in
         let seen = Hashtbl.create 64 in
         let push r =
           let r = normalize r in
@@ -239,7 +247,8 @@ let fm_infeasible (rows : row list) : bool =
             if not (Hashtbl.mem seen (r.cst, r.coeffs)) then begin
               Hashtbl.add seen (r.cst, r.coeffs) ();
               out := r :: !out;
-              if List.length !out > max_rows then raise Too_big
+              incr n_out;
+              if !n_out > max_rows then raise Too_big
             end
         in
         List.iter (fun (a, rp) -> List.iter (fun (b, rn) -> push (row_combine b rp a rn)) neg) pos;
@@ -289,6 +298,41 @@ let rows_of (sys : system) : row list =
   List.concat_map (fun a -> [ row_of a; row_of (neg a) ]) sys.eqs
   @ List.map row_of sys.ges @ brows
 
+(** Exact elimination of equalities over the integers: while some
+    equality [c*s + rest = 0] has a coefficient [c = ±1], substitute
+    [s = -c * rest] everywhere and keep the weak bounds of [s] as
+    inequalities on [-c * rest]. The integer solutions are unchanged,
+    and the rewritten rows expose congruences to integer tightening
+    that Fourier–Motzkin loses when it eliminates another variable of
+    the equality first. *)
+let substitute_unit_eqs (sys : system) : system =
+  let without s a = { a with terms = List.filter (fun (s', _) -> s'.sid <> s.sid) a.terms } in
+  (* the first equality with a unit coefficient, solved for its symbol,
+     and the other equalities *)
+  let rec solve before = function
+    | [] -> None
+    | e :: rest -> (
+        match List.find_opt (fun (_, c) -> abs c = 1) e.terms with
+        | Some (s, c) -> Some (s, scale (-c) (without s e), List.rev_append before rest)
+        | None -> solve (e :: before) rest)
+  in
+  let rec go sys =
+    match solve [] sys.eqs with
+    | None -> sys
+    | Some (s, sol, eqs) ->
+        let subst a =
+          match List.assoc_opt s a.terms with
+          | None -> a
+          | Some k -> add (without s a) (scale k sol)
+        in
+        let bounds =
+          (match s.lo with Some l -> [ add_const (-l) sol ] | None -> [])
+          @ match s.hi with Some h -> [ add_const h (neg sol) ] | None -> []
+        in
+        go { eqs = List.map subst eqs; ges = bounds @ List.map subst sys.ges }
+  in
+  go sys
+
 (** Candidate moduli for the modulus-interval test on an equality: the
     distinct absolute coefficient values above 1. *)
 let moduli a =
@@ -296,6 +340,7 @@ let moduli a =
 
 let rec infeasible ?(depth = 2) (sys : system) : bool =
   fm_infeasible (rows_of sys)
+  || (sys.eqs <> [] && fm_infeasible (rows_of (substitute_unit_eqs sys)))
   || depth > 0
      && List.exists
           (fun e ->

@@ -2,7 +2,8 @@
     procedures behind the static race checker. Race queries become
     conjunctive systems of affine equalities/inequalities over two
     renamed instances of the thread symbols; the decision stack is
-    Fourier–Motzkin elimination with integer tightening, a
+    Fourier–Motzkin elimination with integer tightening (retried after
+    exact substitution of unit-coefficient equalities), a
     modulus-interval test per equality (subsuming the GCD test), and a
     congruence rule for modulo guards. All procedures answer [true]
     only when infeasibility is certain — [false] means "not proven". *)
@@ -47,6 +48,10 @@ val is_thread_dep : t -> bool
 (** Mentions an actual thread-index symbol (as opposed to a local loop
     counter, which is per-instance but not a thread index). *)
 val has_thread : t -> bool
+
+(** Apply [f] to every symbol, in term order, and restore the sid
+    order of the terms. [f] must be injective on the symbols of [a]. *)
+val map_syms : (sym -> sym) -> t -> t
 
 (** Rename the per-instance symbols (thread ivs and local loop
     counters); shared symbols are preserved so both instances agree on

@@ -6,7 +6,10 @@
     pairwise with the {!Affine} decision procedures over two renamed
     thread instances. Sound direction: diagnostics may over-report
     (warnings for unknown indices), never under-report races the
-    affine domain can express. *)
+    affine domain can express. Each pair is decided once per process:
+    verdicts are memoized under the pair's canonical form (symbols
+    renamed by first appearance) and computed from that form only, so
+    no result depends on what was checked before or in parallel. *)
 
 open Pgpu_ir
 
@@ -19,3 +22,8 @@ val check_region :
 (** Check every kernel launch region of a module, resolving host
     constants per wrapper. *)
 val check_modul : Instr.modul -> Report.diagnostic list
+
+(** Forget every memoized pair verdict. Verdicts are a pure function of
+    their canonical pair, so this changes no result, only the work the
+    next checks do; tests use it to compare cold and warm checks. *)
+val clear_verdicts : unit -> unit

@@ -31,9 +31,11 @@ module Memo = struct
     tbl : (int, ('a * 'b) list) Hashtbl.t;
     lock : Mutex.t;
     stats : stats;
+    mutable length : int;
   }
 
-  let create () = { tbl = Hashtbl.create 64; lock = Mutex.create (); stats = stats_zero () }
+  let create () =
+    { tbl = Hashtbl.create 64; lock = Mutex.create (); stats = stats_zero (); length = 0 }
 
   let locked m f =
     Mutex.lock m.lock;
@@ -62,15 +64,22 @@ module Memo = struct
         locked m (fun () ->
             m.stats.misses <- m.stats.misses + 1;
             let bucket = Option.value (Hashtbl.find_opt m.tbl hash) ~default:[] in
-            if not (List.exists (fun (k, _) -> equal k key) bucket) then
-              Hashtbl.replace m.tbl hash ((key, v) :: bucket));
+            if not (List.exists (fun (k, _) -> equal k key) bucket) then begin
+              Hashtbl.replace m.tbl hash ((key, v) :: bucket);
+              m.length <- m.length + 1
+            end);
         (v, false)
 
   let find_or_add m ~hash ~equal key compute = fst (find_or_add_hit m ~hash ~equal key compute)
 
   let hits m = m.stats.hits
   let misses m = m.stats.misses
-  let clear m = locked m (fun () -> Hashtbl.reset m.tbl)
+  let length m = m.length
+
+  let clear m =
+    locked m (fun () ->
+        Hashtbl.reset m.tbl;
+        m.length <- 0)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -43,6 +43,10 @@ module Memo : sig
 
   val hits : ('a, 'b) t -> int
   val misses : ('a, 'b) t -> int
+
+  (** Number of entries stored since creation or the last {!clear}. *)
+  val length : ('a, 'b) t -> int
+
   val clear : ('a, 'b) t -> unit
 end
 

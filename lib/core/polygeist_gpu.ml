@@ -232,17 +232,18 @@ type cache_bench_result = {
 (** Compile and autotune [b] twice against the same cache: a cold pass
     populating it, then a warm pass that must make identical choices
     with identical outputs while skipping memoized compile work and TDO
-    trials. Wall-clock is measured with [Sys.time] (cpu seconds). With
-    [dir], the cache also persists to disk across processes. *)
+    trials. Wall-clock is measured on the monotonic clock. With [dir],
+    the cache also persists to disk across processes. *)
 let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?dir
     ~(target : Descriptor.t) (b : Bench_def.t) : cache_bench_result =
   let cache = Cache.create ?dir () in
+  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
   let pass () =
-    let t0 = Sys.time () in
+    let t0 = now () in
     let c = compile ~specs ~cache ~target ~source:b.Bench_def.source () in
-    let t1 = Sys.time () in
+    let t1 = now () in
     let r = run ~tune:true ~cache c ~args:b.Bench_def.args in
-    let t2 = Sys.time () in
+    let t2 = now () in
     (r, t1 -. t0, t2 -. t1)
   in
   let _, m0, _ = Cache.ns_stats cache "tdo" in

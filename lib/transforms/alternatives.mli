@@ -36,6 +36,10 @@ val pp_decision : decision Fmt.t
     (canonicalize, CSE, LICM, CSE, DCE, barrier elimination). *)
 val cleanup : Instr.block -> Instr.block
 
+(** Threads per block of a region whose thread-level extents all
+    resolve through [const_of]; [None] otherwise. *)
+val static_block_size : const_of:(Value.t -> int option) -> Instr.block -> int option
+
 (** Combined (hits, misses) of the process-wide compile memo tables
     (cleanup + backend analysis), for per-compile telemetry deltas. *)
 val memo_counters : unit -> int * int

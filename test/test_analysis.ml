@@ -20,6 +20,9 @@ module Exec = Pgpu_gpusim.Exec
 module Descriptor = Pgpu_target.Descriptor
 module Pipeline = Pgpu_transforms.Pipeline
 module Alternatives = Pgpu_transforms.Alternatives
+module Coarsen = Pgpu_transforms.Coarsen
+module Backend = Pgpu_target.Backend
+module Occupancy = Pgpu_target.Occupancy
 module Bench_def = Pgpu_rodinia.Bench_def
 open Pgpu_ir
 
@@ -140,6 +143,120 @@ let bench_clean_cases =
     benches
 
 (* ------------------------------------------------------------------ *)
+(* The candidate corpus: every region the race gate of expand checks   *)
+(* ------------------------------------------------------------------ *)
+
+(** A coarsened, cleaned-up replica that passed every earlier gate of
+    [Alternatives.expand], with the constant resolver expand checks it
+    under. *)
+type gated = { label : string; const_of : Value.t -> int option; region : Instr.block }
+
+(* The gates of [Alternatives.expand] up to the race check, uncached:
+   coarsen, clean up, shared memory, new spills, occupancy. *)
+let gated_replicas (target : Descriptor.t) ~outer_const ~specs ~kernel region =
+  let with_outer local v = match local v with Some n -> Some n | None -> outer_const v in
+  let base_stats = Backend.analyze target (Alternatives.cleanup (Clone.block region)) in
+  List.filter_map
+    (fun spec ->
+      let desc = Fmt.str "%a" Coarsen.pp_spec spec in
+      let fresh = Clone.block region in
+      let consts = Coarsen.const_tbl [ fresh ] in
+      let const_of = with_outer (Coarsen.lookup_const consts) in
+      match Coarsen.coarsen_region ~const_of spec fresh with
+      | Error _ -> None
+      | Ok coarsened ->
+          let coarsened = Alternatives.cleanup coarsened in
+          let stats = Backend.analyze target coarsened in
+          if stats.Backend.static_shmem > target.Descriptor.max_shmem_per_block
+             || stats.Backend.spilled > base_stats.Backend.spilled
+          then None
+          else begin
+            Coarsen.add_consts consts [ coarsened ];
+            let occ_ok =
+              match Alternatives.static_block_size ~const_of coarsened with
+              | None -> true
+              | Some threads ->
+                  Result.is_ok
+                    (Occupancy.check target
+                       {
+                         Occupancy.threads_per_block = threads;
+                         regs_per_thread = stats.Backend.regs_per_thread;
+                         shmem_per_block = stats.Backend.static_shmem;
+                       })
+            in
+            if occ_ok then Some { label = kernel ^ ":" ^ desc; const_of; region = coarsened }
+            else None
+          end)
+    specs
+
+(** Every replica the race gate sees when [m] is compiled for [target]
+    with [specs], in compile order. *)
+let gated_of_modul target ~specs ~name m =
+  let m = Pipeline.scalar_pipeline m in
+  let outer_const = Coarsen.const_env (List.map (fun f -> f.Instr.body) m.Instr.funcs) in
+  let wrappers = ref [] in
+  List.iter
+    (fun (f : Instr.func) ->
+      Instr.iter_deep
+        (function
+          | Instr.Gpu_wrapper { name = k; body; _ } -> wrappers := (k, body) :: !wrappers
+          | _ -> ())
+        f.Instr.body)
+    m.Instr.funcs;
+  List.concat_map
+    (fun (k, body) -> gated_replicas target ~outer_const ~specs ~kernel:(name ^ "/" ^ k) body)
+    (List.rev !wrappers)
+
+let corpus_specs = Pgpu_core.Experiments.composite_specs
+
+let corpus target =
+  List.concat_map
+    (fun (b : Bench_def.t) ->
+      gated_of_modul target ~specs:corpus_specs ~name:b.Bench_def.name
+        (Frontend.compile_string b.Bench_def.source))
+    benches
+
+let check_gated (g : gated) = Check.check_region ~const_of:g.const_of ~kernel:g.label g.region
+
+(* Expand's own report agrees with the replica: a candidate reached the
+   race gate iff it ended kept, racy or duplicate. *)
+let reached_race_gate (c : Alternatives.candidate) =
+  match c.Alternatives.decision with
+  | Alternatives.Kept | Alternatives.Rejected_racy _ | Alternatives.Rejected_duplicate _ -> true
+  | _ -> false
+
+(* candidates reaching the race gate: 450 on a100, 451 on rx6800 *)
+let corpus_sizes = [ (Descriptor.a100, 450); (Descriptor.rx6800, 451) ]
+
+let test_corpus_clean () =
+  List.iter
+    (fun ((target : Descriptor.t), size) ->
+      let name = target.Descriptor.name in
+      let cands = corpus target in
+      Alcotest.(check int) (name ^ " corpus size") size (List.length cands);
+      let expanded =
+        List.fold_left
+          (fun n (b : Bench_def.t) ->
+            let opts =
+              { (Pipeline.default_options target) with Pipeline.coarsen_specs = corpus_specs }
+            in
+            let _, report = Pipeline.compile opts (Frontend.compile_string b.Bench_def.source) in
+            List.fold_left
+              (fun n kr -> n + List.length (List.filter reached_race_gate kr.Pipeline.candidates))
+              n report.Pipeline.kernels)
+          0 benches
+      in
+      Alcotest.(check int) (name ^ ": the race gate of expand saw as many") expanded size;
+      List.iter
+        (fun g ->
+          match check_gated g with
+          | [] -> ()
+          | d :: _ ->
+              Alcotest.failf "%s %s: unexpected diagnostic: %a" name g.label Report.pp_diagnostic d)
+        cands)
+    corpus_sizes
+
+(* ------------------------------------------------------------------ *)
 (* Static checker: every injected mutant is flagged                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,6 +283,21 @@ let test_all_mutants () =
           (zero_shared_store_idx k (mk ()))
       done)
     stock
+
+(** Every mutant of the stock kernels with its full sorted report, one
+    [== name] header per mutant. *)
+let mutants_report () =
+  List.concat_map
+    (fun (name, mk) ->
+      let m = mk () in
+      List.init (count_barriers m) (fun k ->
+          (Fmt.str "%s: drop barrier %d" name k, drop_barrier k (mk ())))
+      @ List.init (count_shared_stores m) (fun k ->
+            (Fmt.str "%s: zero shared-store index %d" name k, zero_shared_store_idx k (mk ()))))
+    stock
+  |> List.map (fun (what, mutant) ->
+         Fmt.str "== %s\n%s" what (Report.to_string (Report.sort (Check.check_modul mutant))))
+  |> String.concat ""
 
 let prop_mutants_flagged =
   QCheck.Test.make ~name:"random mutants of race-free kernels are flagged" ~count:40
@@ -305,6 +437,157 @@ let test_golden_report () =
   in
   Alcotest.(check string) "pgpu check report" expected report
 
+let test_mutants_golden () =
+  (* generated before check results were memoized; never re-pinned *)
+  let path =
+    List.find Sys.file_exists [ "analysis_mutants.golden"; "test/analysis_mutants.golden" ]
+  in
+  Alcotest.(check string) "mutant reports" (read_file path) (mutants_report ())
+
+(* ------------------------------------------------------------------ *)
+(* The pair-verdict memo changes no result                             *)
+(* ------------------------------------------------------------------ *)
+
+module Static_check = Pgpu_analysis.Static_check
+module Pool = Pgpu_support.Pool
+module Rk = Test_random_kernels
+
+let memo_specs = Pipeline.specs_of_totals [ (1, 1); (2, 1); (1, 2); (2, 2); (4, 1) ]
+
+(* a random kernel with at least one barrier *)
+let arb_barrier_kdesc =
+  let with_barrier (d : Rk.kdesc) =
+    if List.exists (function Rk.To_shared _ -> true | _ -> false) d.Rk.steps then d
+    else { d with Rk.steps = d.Rk.steps @ [ Rk.To_shared Rk.Rev ] }
+  in
+  QCheck.make ~print:(Fmt.str "%a" Rk.pp_kdesc) (QCheck.Gen.map with_barrier Rk.gen_kdesc)
+
+(** Builders of the kernel and each of its mutants. *)
+let variants d =
+  let mk () = Rk.build_module d in
+  let m = mk () in
+  mk
+  :: List.init (count_barriers m) (fun k () -> drop_barrier k (mk ()))
+  @ List.init (count_shared_stores m) (fun k () -> zero_shared_store_idx k (mk ()))
+
+(** Every check the variants of [d] give rise to: the module, and each
+    replica expand's race gate would see. *)
+let memo_subjects d =
+  List.concat_map
+    (fun mk ->
+      let m = mk () in
+      (fun () -> Check.check_modul m)
+      :: List.map
+           (fun g () -> check_gated g)
+           (gated_of_modul Descriptor.a100 ~specs:memo_specs ~name:"rand" (mk ())))
+    (variants d)
+
+let corpus_a100 = lazy (corpus Descriptor.a100)
+
+let prop_memo_transparent =
+  QCheck.Test.make ~name:"verdict memo: cold, warm and reversed checks agree" ~count:6
+    arb_barrier_kdesc (fun d ->
+      let subjects = memo_subjects d in
+      let run l = List.map (fun f -> f ()) l in
+      Static_check.clear_verdicts ();
+      let cold = run subjects in
+      Static_check.clear_verdicts ();
+      let reversed = List.rev (run (List.rev subjects)) in
+      let warm = run subjects in
+      Static_check.clear_verdicts ();
+      List.iter (fun g -> ignore (check_gated g)) (Lazy.force corpus_a100);
+      let after_corpus = run subjects in
+      cold = reversed && cold = warm && cold = after_corpus)
+
+let prop_expand_jobs_parity =
+  QCheck.Test.make ~name:"verdict memo: expand decides alike at jobs 1 and 2" ~count:6
+    arb_barrier_kdesc (fun d ->
+      let decisions jobs =
+        Static_check.clear_verdicts ();
+        List.concat_map
+          (fun mk ->
+            let opts =
+              {
+                (Pipeline.default_options Descriptor.a100) with
+                Pipeline.coarsen_specs = memo_specs;
+                jobs;
+              }
+            in
+            let _, report = Pipeline.compile opts (mk ()) in
+            List.concat_map
+              (fun kr ->
+                List.map
+                  (fun (c : Alternatives.candidate) ->
+                    (c.Alternatives.desc, Fmt.str "%a" Alternatives.pp_decision c.Alternatives.decision))
+                  kr.Pipeline.candidates)
+              report.Pipeline.kernels)
+          (variants d)
+      in
+      Pool.override_domain_count (Some 2);
+      Fun.protect
+        ~finally:(fun () -> Pool.override_domain_count None)
+        (fun () -> decisions 1 = decisions 2))
+
+(* ------------------------------------------------------------------ *)
+(* Affine: a proof of infeasibility is never wrong                     *)
+(* ------------------------------------------------------------------ *)
+
+module Affine = Pgpu_analysis.Affine
+
+(* three bounded symbols, up to two equalities and three inequalities
+   with small coefficients: small enough to enumerate every point *)
+let arb_system =
+  let open QCheck.Gen in
+  let gen =
+    let* bounds = list_repeat 3 (pair (int_range (-3) 1) (int_range 0 4)) in
+    let syms =
+      List.mapi
+        (fun i (lo, w) ->
+          { Affine.sid = i + 1; name = Fmt.str "x%d" i; kind = Affine.Shared; lo = Some lo; hi = Some (lo + w) })
+        bounds
+    in
+    let row =
+      let* c = int_range (-6) 6 in
+      let* ks = list_repeat 3 (int_range (-3) 3) in
+      return
+        (List.fold_left2
+           (fun a s k -> Affine.add a (Affine.scale k (Affine.of_sym s)))
+           (Affine.const c) syms ks)
+    in
+    let* eqs = list_size (int_range 0 2) row in
+    let* ges = list_size (int_range 0 3) row in
+    return (syms, { Affine.eqs; ges })
+  in
+  let print (syms, (sys : Affine.system)) =
+    Fmt.str "%a | eqs %a | ges %a"
+      Fmt.(list ~sep:sp (fun ppf (s : Affine.sym) ->
+               pf ppf "%s in [%d, %d]" s.Affine.name (Option.get s.Affine.lo) (Option.get s.Affine.hi)))
+      syms
+      Fmt.(list ~sep:semi Affine.pp) sys.Affine.eqs
+      Fmt.(list ~sep:semi Affine.pp) sys.Affine.ges
+  in
+  QCheck.make ~print gen
+
+let has_integer_point syms (sys : Affine.system) =
+  let eval env (a : Affine.t) =
+    List.fold_left (fun acc ((s : Affine.sym), c) -> acc + (c * List.assoc s.Affine.sid env)) a.Affine.const a.Affine.terms
+  in
+  let rec points env = function
+    | [] ->
+        List.for_all (fun e -> eval env e = 0) sys.Affine.eqs
+        && List.for_all (fun g -> eval env g >= 0) sys.Affine.ges
+    | (s : Affine.sym) :: rest ->
+        let rec from v =
+          v <= Option.get s.Affine.hi && (points ((s.Affine.sid, v) :: env) rest || from (v + 1))
+        in
+        from (Option.get s.Affine.lo)
+  in
+  points [] syms
+
+let prop_infeasible_sound =
+  QCheck.Test.make ~name:"affine: systems proven infeasible have no integer point" ~count:1000
+    arb_system (fun (syms, sys) -> not (Affine.infeasible sys && has_integer_point syms sys))
+
 let suite =
   [
     ( "analysis",
@@ -316,6 +599,11 @@ let suite =
         Alcotest.test_case "stock vecadd is diagnostic-free" `Quick
           (check_clean "vecadd" (Kernels.vecadd_module ()));
         Alcotest.test_case "every injected mutant is flagged" `Quick test_all_mutants;
+        Alcotest.test_case "golden reports of every stock mutant" `Quick test_mutants_golden;
+        Alcotest.test_case "every corpus candidate is diagnostic-free" `Quick test_corpus_clean;
+        QCheck_alcotest.to_alcotest prop_memo_transparent;
+        QCheck_alcotest.to_alcotest prop_expand_jobs_parity;
+        QCheck_alcotest.to_alcotest prop_infeasible_sound;
         QCheck_alcotest.to_alcotest prop_mutants_flagged;
         Alcotest.test_case "racy candidates never reach TDO" `Quick
           test_racy_never_reaches_tdo;
