@@ -110,7 +110,7 @@ let pp ppf a =
     if c = 1 then Fmt.pf ppf "%s%s" (if first then "" else " + ") s.name
     else if c = -1 then Fmt.pf ppf "%s%s" (if first then "-" else " - ") s.name
     else if c >= 0 then Fmt.pf ppf "%s%d*%s" (if first then "" else " + ") c s.name
-    else Fmt.pf ppf "%s%d*%s" (if first then "" else " - ") (-c) s.name
+    else Fmt.pf ppf "%s%d*%s" (if first then "-" else " - ") (-c) s.name
   in
   match a.terms with
   | [] -> Fmt.int ppf a.const

@@ -21,6 +21,9 @@ type t = {
           [ways + w], epoch stamps at [2 * ways + w]; [[||]] until the
           set is first touched. A way is resident only when its stamp
           equals [epoch]. *)
+  shared : Bytes.t;
+      (** per set, ['\001'] while the row is still shared with the
+          cache this one was cloned from: the first write copies it *)
   mutable epoch : int;
   mutable tick : int;
   mutable hits : int;
@@ -48,6 +51,7 @@ let create ~size_bytes ~line_bytes ~ways =
     line_bytes;
     line_shift = log2_pow2 line_bytes;
     set_data = Array.make sets [||];
+    shared = Bytes.make sets '\000';
     epoch = 1;
     tick = 0;
     hits = 0;
@@ -57,29 +61,35 @@ let create ~size_bytes ~line_bytes ~ways =
     last_w = 0;
   }
 
-(** Deep, independent copy — used to give TDO trial machines private
-    caches. The one-entry probe shortcut is invalidated rather than
-    copied: [last_data] aliases a row of the source's tag store, and a
-    shared row would let one domain's accesses corrupt another's. An
-    invalid shortcut only costs the next probe a set scan; hit/miss
-    outcomes are unchanged. *)
+(** Copy-on-write copy — used to give TDO trial machines private
+    caches. Only the per-set row pointers are copied; every row starts
+    shared and [access] copies it on the first write, so a trial pays
+    for the sets it touches rather than for every resident row. The
+    source must not run while the clone is in use (its in-place writes
+    would show through the shared rows); the clone's writes never reach
+    the source. The one-entry probe shortcut is invalidated rather than
+    copied: [last_data] may be a shared row, and only the set-scan path
+    un-shares rows. An invalid shortcut only costs the next probe a set
+    scan; hit/miss outcomes are unchanged. *)
 let clone t =
   {
     t with
-    set_data = Array.map (fun d -> if Array.length d = 0 then [||] else Array.copy d) t.set_data;
+    set_data = Array.copy t.set_data;
+    shared = Bytes.make t.sets '\001';
     last_line = -1;
     last_data = [||];
     last_w = 0;
   }
 
 (** An empty cache with [t]'s geometry — behaviourally identical to
-    [clone t] immediately followed by [reset], without copying any tag
-    rows. Used for trial-machine L1s, which every launch resets before
-    its first access anyway. *)
+    [clone t] immediately followed by [reset], without sharing any tag
+    rows with [t]. Used for trial-machine L1s, which every launch
+    resets before its first access anyway. *)
 let fresh t =
   {
     t with
     set_data = Array.make t.sets [||];
+    shared = Bytes.make t.sets '\000';
     epoch = 1;
     tick = 0;
     hits = 0;
@@ -105,11 +115,20 @@ let access t addr =
     let ways = t.ways in
     let d =
       let d = t.set_data.(set) in
-      if Array.length d > 0 then d
-      else begin
+      if Array.length d = 0 then begin
         (* stamps start at 0 < epoch, so every way starts invalid *)
         let d = Array.make (3 * ways) 0 in
         t.set_data.(set) <- d;
+        Bytes.unsafe_set t.shared set '\000';
+        d
+      end
+      else if Bytes.unsafe_get t.shared set = '\000' then d
+      else begin
+        (* every scan writes the row (a tick on a hit, a fill on a
+           miss), so un-share it first *)
+        let d = Array.copy d in
+        t.set_data.(set) <- d;
+        Bytes.unsafe_set t.shared set '\000';
         d
       end
     in

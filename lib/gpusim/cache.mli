@@ -1,7 +1,8 @@
 (** Set-associative LRU cache model, used for the per-SM L1 caches and
     the device-wide L2 of the GPU simulator. Tag stores are
-    materialised lazily per set and invalidated by epoch, so [create]
-    and [reset] stay cheap even for multi-megabyte simulated caches. *)
+    materialised lazily per set, invalidated by epoch and copied on
+    write after a [clone], so [create], [reset] and [clone] stay cheap
+    even for multi-megabyte simulated caches. *)
 
 type t = {
   sets : int;
@@ -11,6 +12,9 @@ type t = {
   set_data : int array array;
       (** per set, [3 * ways] ints — tags, last-use ticks, epoch
           stamps; [[||]] until the set is first touched *)
+  shared : Bytes.t;
+      (** per set, non-zero while the row is shared with the cache this
+          one was cloned from; the first write to it copies it *)
   mutable epoch : int;
   mutable tick : int;
   mutable hits : int;
@@ -25,14 +29,18 @@ type t = {
 val create : size_bytes:int -> line_bytes:int -> ways:int -> t
 
 val clone : t -> t
-(** Deep, independent copy sharing no mutable state with the source —
-    safe to drive from another domain. Behaviourally identical to the
-    source (the one-entry probe shortcut is invalidated, which only
-    affects probe cost, never hit/miss outcomes). *)
+(** Copy-on-write copy, behaviourally identical to the source (the
+    one-entry probe shortcut is invalidated, which only affects probe
+    cost, never hit/miss outcomes). The clone shares every tag row with
+    the source and copies a row on its first write to it, so its
+    accesses never reach the source, and several clones of one source
+    may run at once on different domains. Sharing contract: the source
+    itself must not be accessed while any of its clones is
+    still in use, since it writes its rows in place. *)
 
 val fresh : t -> t
 (** An empty, independent cache with the source's geometry — identical
-    to [clone] followed by [reset], without copying tag rows. *)
+    to [clone] followed by [reset], without sharing tag rows. *)
 
 (** Probe with a byte address; allocates on miss. [true] on hit. *)
 val access : t -> int -> bool

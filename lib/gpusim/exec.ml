@@ -83,10 +83,12 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
     bank_counts = Array.make 64 0;
   }
 
-(** A fully private copy of [m]: no mutable state is shared with the
-    source, so the clone can execute on another domain concurrently
-    with the original. Used by the TDO search to give each trial its
-    own machine. The race detector is deliberately not carried over
+(** A private copy of [m] for one TDO trial. The L2 slices are
+    copy-on-write clones ({!Cache.clone}): they share tag rows with
+    [m] until the trial first writes them, so the clone's accesses
+    never reach [m], and clones of one machine may run concurrently on
+    different domains — but [m] itself must not run while its clones
+    are in use. The race detector is deliberately not carried over
     (trial machines never race-check). *)
 let clone_machine m =
   {

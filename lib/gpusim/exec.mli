@@ -57,10 +57,12 @@ type machine = {
 val create_machine : Pgpu_target.Descriptor.t -> machine
 
 val clone_machine : machine -> machine
-(** A fully private, [ephemeral] copy of [m] sharing no mutable state
-    with the source, safe to execute on another domain concurrently
-    with the original (the race detector is not carried over). Used by
-    the TDO search to give each trial its own machine. *)
+(** An [ephemeral] copy of [m] for one TDO trial (the race detector is
+    not carried over). Its L2 slices are copy-on-write clones that
+    share tag rows with [m] until first written, so the copy's
+    accesses never reach [m] and several copies may run at once on
+    different domains; [m] itself must not run while any of its copies
+    is in use. *)
 
 type env = (int, rv) Hashtbl.t
 

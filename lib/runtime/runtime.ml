@@ -235,31 +235,91 @@ let eval_intrinsic st (results : Value.t list) name (args : Value.t list) =
 (* Private trial state                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
-    id, including per-lane buffer vectors), leaving scalars shared: a
-    TDO trial's functional writes and host-prelude bindings land in
-    private copies and never touch the live data or environment. *)
-let clone_trial_env (env : Exec.env) : Exec.env =
+(** The memrefs a TDO trial of [region] can write through: [Store]
+    targets, [Memcpy] destinations and buffer arguments of intrinsics
+    (the [fill_*] generators), counting only free values of the region —
+    a buffer the region allocates itself ([Alloc], [Alloc_shared]) is
+    new and private to the trial. [None] when a written memref is
+    defined inside the region some other way (a [Select], an [If] or
+    loop result, a region argument): which buffer it names is then
+    unknown, so every buffer must be treated as written. *)
+let written_memrefs (region : Instr.block) : Value.t list option =
+  let defined = Value.Tbl.create 64 and fresh = Value.Tbl.create 8 in
+  Instr.iter_deep
+    (fun i ->
+      (match i with
+      | Instr.Alloc { res; _ } | Instr.Alloc_shared { res; _ } -> Value.Tbl.replace fresh res ()
+      | _ -> ());
+      List.iter (fun v -> Value.Tbl.replace defined v ()) (Instr.defs i);
+      List.iter
+        (fun (args, _) -> List.iter (fun v -> Value.Tbl.replace defined v ()) args)
+        (Instr.regions i))
+    region;
+  let written = Value.Tbl.create 8 and unknown = ref false in
+  let write (v : Value.t) =
+    if Value.Tbl.mem fresh v then ()
+    else if Value.Tbl.mem defined v then unknown := true
+    else Value.Tbl.replace written v ()
+  in
+  Instr.iter_deep
+    (fun i ->
+      match i with
+      | Instr.Store { mem; _ } -> write mem
+      | Instr.Memcpy { dst; _ } -> write dst
+      | Instr.Intrinsic { args; _ } ->
+          List.iter (fun (v : Value.t) -> if Types.is_memref v.Value.ty then write v) args
+      | _ -> ())
+    region;
+  if !unknown then None
+  else Some (List.sort Value.compare (Value.Tbl.fold (fun v () acc -> v :: acc) written []))
+
+(** A TDO trial's private environment: a copy of [env] in which every
+    buffer the trial can write (the buffers [written] is bound to, or
+    all buffers when [written] is [None]) is deep-copied once,
+    deduplicated by buffer id so aliases stay aliases. Every other
+    binding is shared with [env]: read-only buffers are physically the
+    same, so [env] must not change while the trial runs ([trial_times]
+    runs trials to completion before the live state moves on). The
+    trial's functional writes and host-prelude bindings never reach the
+    live data or environment. *)
+let clone_trial_env ~(written : Value.t list option) (env : Exec.env) : Exec.env =
   let copy = Hashtbl.copy env in
+  let writable =
+    match written with
+    | None -> fun _ -> true
+    | Some vs ->
+        let ids = Hashtbl.create 8 in
+        List.iter
+          (fun (v : Value.t) ->
+            match Hashtbl.find_opt env v.Value.id with
+            | Some (Exec.UB b) -> Hashtbl.replace ids b.Memory.id ()
+            | Some (Exec.VB bs) -> Array.iter (fun b -> Hashtbl.replace ids b.Memory.id ()) bs
+            | _ -> ())
+          vs;
+        fun (b : Memory.buf) -> Hashtbl.mem ids b.Memory.id
+  in
   let cloned = Hashtbl.create 16 in
   let clone_buf (b : Memory.buf) =
-    match Hashtbl.find_opt cloned b.Memory.id with
-    | Some b' -> b'
-    | None ->
-        let data =
-          match b.Memory.data with
-          | Memory.I a -> Memory.I (Array.copy a)
-          | Memory.F a -> Memory.F (Array.copy a)
-        in
-        let b' = { b with Memory.data } in
-        Hashtbl.replace cloned b.Memory.id b';
-        b'
+    if not (writable b) then b
+    else
+      match Hashtbl.find_opt cloned b.Memory.id with
+      | Some b' -> b'
+      | None ->
+          let data =
+            match b.Memory.data with
+            | Memory.I a -> Memory.I (Array.copy a)
+            | Memory.F a -> Memory.F (Array.copy a)
+          in
+          let b' = { b with Memory.data } in
+          Hashtbl.replace cloned b.Memory.id b';
+          b'
   in
   Hashtbl.iter
     (fun k rv ->
       match rv with
-      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
-      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
+      | Exec.UB b when writable b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
+      | Exec.VB bs when Array.exists writable bs ->
+          Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
       | _ -> ())
     env;
   copy
@@ -640,30 +700,38 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
       Hashtbl.replace st.choices (aid, signature) k;
       k
 
-(** TDO trials: every candidate runs on a fully private state — a
-    cloned machine, deep-copied buffers and its own environment — so a
-    trial leaves no trace on the live machine, buffers or bindings and
-    sees exactly the pre-search state the committed execution starts
-    from. Trials fan out over the persistent pool ([jobs = 1] is a
+(** TDO trials: every candidate runs on a private state — a
+    copy-on-write clone of the machine, private copies of the buffers
+    it can write and its own environment — so a trial leaves no trace
+    on the live machine, buffers or bindings and sees exactly the
+    pre-search state the committed execution starts from. The clones
+    share the live L2 rows and read-only buffers, which is sound
+    because the live state does not run until every trial has
+    finished. Trials fan out over the persistent pool ([jobs = 1] is a
     plain in-order map). The shared memo tables (per-site stats,
     fissioned regions, compiled kernels) are warmed first so trials
     only read them, and trials run with the tracer off: the caller
     reports them in index order. *)
 and trial_times st ~name ~wid regions =
-  List.iteri
-    (fun k region ->
-      let region = if cpu_mode st then cpu_lowered st ~wid ~alt:k region else region in
-      ignore (kernel_stats st ~wid ~alt:k region);
-      match st.config.engine with
-      | Engine.Compiled ->
-          List.iter
-            (fun i ->
-              match i with
-              | Instr.Parallel { level = Instr.Blocks; _ } -> ignore (compiled_kernel st i)
-              | _ -> ())
-            region
-      | Engine.Interp -> ())
-    regions;
+  let written =
+    List.mapi
+      (fun k region ->
+        let region = if cpu_mode st then cpu_lowered st ~wid ~alt:k region else region in
+        ignore (kernel_stats st ~wid ~alt:k region);
+        (match st.config.engine with
+        | Engine.Compiled ->
+            List.iter
+              (fun i ->
+                match i with
+                | Instr.Parallel { level = Instr.Blocks; _ } -> ignore (compiled_kernel st i)
+                | _ -> ())
+              region
+        | Engine.Interp -> ());
+        (* the region the trial executes, after lowering *)
+        written_memrefs region)
+      regions
+    |> Array.of_list
+  in
   let jobs = if List.exists has_nested_site regions then 1 else st.config.jobs in
   let config = { st.config with tracer = Tracer.disabled } in
   Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
@@ -673,7 +741,7 @@ and trial_times st ~name ~wid regions =
           st with
           config;
           machine = Exec.clone_machine st.machine;
-          env = clone_trial_env st.env;
+          env = clone_trial_env ~written:written.(k) st.env;
           records = [];
           trial = true;
         }

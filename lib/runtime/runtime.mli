@@ -73,6 +73,22 @@ val rand_array : int -> int -> float array
 
 val rand_int_array : int -> int -> int -> int array
 
+(** The memrefs a TDO trial of a candidate region can write through:
+    free values of the region that are [Store] targets, [Memcpy]
+    destinations or buffer arguments of intrinsics, sorted. Buffers the
+    region allocates itself are private to the trial and not listed.
+    [None] when a written memref is defined inside the region by
+    anything but an allocation (a [Select], an [If] or loop result, a
+    region argument), i.e. every buffer may be written. *)
+val written_memrefs : Instr.block -> Value.t list option
+
+(** A TDO trial's private environment: a copy of [env] whose buffers
+    bound to [written] (every buffer when [None]) are deep-copied once
+    per buffer id; all other bindings, read-only buffers included, are
+    physically shared with [env], which therefore must not change while
+    the trial runs. *)
+val clone_trial_env : written:Value.t list option -> Exec.env -> Exec.env
+
 (** Run function [fname] (default ["main"]) with the given arguments;
     returns the function results and the final state. *)
 val run : ?fname:string -> config -> Instr.modul -> Exec.rv list -> Exec.rv list * state

@@ -588,6 +588,17 @@ let prop_infeasible_sound =
   QCheck.Test.make ~name:"affine: systems proven infeasible have no integer point" ~count:1000
     arb_system (fun (syms, sys) -> not (Affine.infeasible sys && has_integer_point syms sys))
 
+(* nw's collision index: a leading negative, non-unit coefficient keeps
+   its sign *)
+let test_affine_pp () =
+  let sym sid name = { Affine.sid; name; kind = Affine.Shared; lo = None; hi = None } in
+  let t = Affine.of_sym (sym 1 "t") and m = Affine.of_sym (sym 2 "m") in
+  let e = Affine.add_const 1 (Affine.add (Affine.scale (-16) t) (Affine.scale 17 m)) in
+  Alcotest.(check string) "-16*t + 17*m + 1" "-16*t + 17*m + 1" (Fmt.str "%a" Affine.pp e);
+  let e' = Affine.sub (Affine.scale (-3) t) (Affine.add_const 2 (Affine.scale 5 m)) in
+  Alcotest.(check string) "-3*t - 5*m - 2" "-3*t - 5*m - 2" (Fmt.str "%a" Affine.pp e');
+  Alcotest.(check string) "-t - m" "-t - m" (Fmt.str "%a" Affine.pp (Affine.neg (Affine.add t m)))
+
 let suite =
   [
     ( "analysis",
@@ -599,6 +610,7 @@ let suite =
         Alcotest.test_case "stock vecadd is diagnostic-free" `Quick
           (check_clean "vecadd" (Kernels.vecadd_module ()));
         Alcotest.test_case "every injected mutant is flagged" `Quick test_all_mutants;
+        Alcotest.test_case "affine pp keeps a leading negative coefficient" `Quick test_affine_pp;
         Alcotest.test_case "golden reports of every stock mutant" `Quick test_mutants_golden;
         Alcotest.test_case "every corpus candidate is diagnostic-free" `Quick test_corpus_clean;
         QCheck_alcotest.to_alcotest prop_memo_transparent;

@@ -275,6 +275,185 @@ let prop_engines_agree =
           true)
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ])
 
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write trial state                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** Reference for [Cache.clone]: an eager deep copy of every tag row. *)
+let deep_copy (c : Cache.t) =
+  {
+    c with
+    Cache.set_data = Array.map Array.copy c.Cache.set_data;
+    shared = Bytes.make c.Cache.sets '\000';
+    last_line = -1;
+    last_data = [||];
+    last_w = 0;
+  }
+
+(** Drive [c] and its reference [r] through [ops] (an address, or -1 for
+    a reset) and fail at the first hit/miss or counter disagreement. *)
+let same_behaviour what (c : Cache.t) (r : Cache.t) ops =
+  List.iteri
+    (fun k a ->
+      if a < 0 then begin
+        Cache.reset c;
+        Cache.reset r
+      end
+      else if Cache.access c a <> Cache.access r a then
+        QCheck.Test.fail_reportf "%s: op %d (address %d): hit/miss differs" what k a;
+      if c.Cache.hits <> r.Cache.hits || c.Cache.misses <> r.Cache.misses then
+        QCheck.Test.fail_reportf "%s: op %d: counters %d/%d vs %d/%d" what k c.Cache.hits
+          c.Cache.misses r.Cache.hits r.Cache.misses)
+    ops
+
+let gen_cow_case =
+  QCheck.Gen.(
+    let* sets = oneofl [ 1; 2; 4; 8 ] in
+    let* ways = oneofl [ 1; 2; 4 ] in
+    let* line = oneofl [ 16; 32; 48 ] in
+    let span = 3 * sets * ways * line in
+    let op = frequency [ (20, int_bound (span - 1)); (1, return (-1)) ] in
+    let ops = list_size (int_range 0 60) op in
+    let* warm = ops and* s1 = ops and* s2 = ops and* s3 = ops and* s4 = ops in
+    return ((sets, ways, line), [ warm; s1; s2; s3; s4 ]))
+
+let prop_cow_clone =
+  QCheck.Test.make ~name:"cache: copy-on-write clones behave as deep copies" ~count:300
+    (QCheck.make
+       ~print:(fun ((sets, ways, line), seqs) ->
+         Fmt.str "sets=%d ways=%d line=%d %a" sets ways line
+           Fmt.(Dump.list (Dump.list int))
+           seqs)
+       gen_cow_case)
+    (fun ((sets, ways, line), seqs) ->
+      match seqs with
+      | [ warm; s1; s2; s3; s4 ] ->
+          let src = Cache.create ~size_bytes:(sets * ways * line) ~line_bytes:line ~ways in
+          List.iter (fun a -> if a < 0 then Cache.reset src else ignore (Cache.access src a)) warm;
+          let r0 = deep_copy src in
+          let c1 = Cache.clone src and r1 = deep_copy src in
+          same_behaviour "clone" c1 r1 s1;
+          (* a clone of a clone, driven while its source waits *)
+          let c2 = Cache.clone c1 and r2 = deep_copy r1 in
+          same_behaviour "clone of a clone" c2 r2 s2;
+          same_behaviour "clone after its own clone ran" c1 r1 s3;
+          (* no clone write reached the source's rows *)
+          Array.iteri
+            (fun k d ->
+              if d <> r0.Cache.set_data.(k) then
+                QCheck.Test.fail_reportf "source row %d changed under its clones" k)
+            src.Cache.set_data;
+          same_behaviour "source after its clones" src r0 s4;
+          true
+      | _ -> assert false)
+
+module P = Pgpu_core.Polygeist_gpu
+module Runtime = Pgpu_runtime.Runtime
+
+(** A live environment binding every free value of [region]: distinct
+    16-element buffers for memrefs, small scalars otherwise. *)
+let env_for_region region =
+  let env = Exec.env_create () and alloc = Memory.allocator () in
+  List.iter
+    (fun (v : Value.t) ->
+      let rv =
+        match v.Value.ty with
+        | Types.Memref (space, elt) ->
+            let b = Memory.alloc alloc space elt 16 in
+            Memory.fill_i b (fun i -> i + v.Value.id);
+            Exec.UB b
+        | ty when Types.is_float ty -> Exec.UF 1.5
+        | _ -> Exec.UI 4
+      in
+      Exec.bind env v rv)
+    (Instr.free_values region);
+  env
+
+let buf_of env (v : Value.t) =
+  match Exec.lookup env v with Exec.UB b -> b | _ -> Alcotest.failf "%a is not a buffer" Value.pp v
+
+let test_trial_env_gaussian () =
+  let b = P.Rodinia.find "gaussian" in
+  let c =
+    P.compile ~specs:(P.specs_of_totals [ (1, 1); (2, 2) ]) ~target:Descriptor.a100
+      ~source:b.P.Bench_def.source ()
+  in
+  let regions = ref [] in
+  List.iter
+    (fun (f : Instr.func) ->
+      Instr.iter_deep
+        (function Instr.Alternatives { regions = rs; _ } -> regions := rs @ !regions | _ -> ())
+        f.Instr.body)
+    c.P.modul.Instr.funcs;
+  Alcotest.(check bool) "gaussian has candidates" true (!regions <> []);
+  let shared = ref 0 in
+  List.iter
+    (fun region ->
+      let written =
+        match Runtime.written_memrefs region with
+        | Some ws -> ws
+        | None -> Alcotest.fail "a gaussian candidate falls back to copying every buffer"
+      in
+      Alcotest.(check bool) "a candidate writes some buffer" true (written <> []);
+      let env = env_for_region region in
+      let trial = Runtime.clone_trial_env ~written:(Some written) env in
+      List.iter
+        (fun (v : Value.t) ->
+          if Types.is_memref v.Value.ty then begin
+            let live = buf_of env v and priv = buf_of trial v in
+            if List.exists (Value.equal v) written then begin
+              Alcotest.(check bool) "written buffer is a private copy" false (live == priv);
+              Alcotest.(check bool) "private copy has its own data" false
+                (live.Memory.data == priv.Memory.data);
+              Alcotest.(check bool) "private copy starts equal" true
+                (live.Memory.data = priv.Memory.data)
+            end
+            else begin
+              incr shared;
+              Alcotest.(check bool) "read-only buffer is shared" true (live == priv)
+            end
+          end)
+        (Instr.free_values region))
+    !regions;
+  (* fan1 only reads a, fan2 only reads m *)
+  Alcotest.(check bool) "some read-only buffers are shared" true (!shared > 0)
+
+let test_trial_env_select_fallback () =
+  let gf = Types.Memref (Types.Global, Types.F32) in
+  let c = Value.fresh ~hint:"c" Types.I1 and a = Value.fresh ~hint:"a" gf
+  and b = Value.fresh ~hint:"b" gf and idx = Value.fresh ~hint:"i" Types.I32
+  and x = Value.fresh ~hint:"x" Types.F32 in
+  let region ~through_select =
+    let bl = Builder.create () in
+    let tmp = Builder.alloc bl Types.Global Types.F32 idx in
+    Builder.store bl tmp idx x;
+    Builder.store bl (if through_select then Builder.select bl c a b else a) idx x;
+    Builder.finish bl
+  in
+  let env = Exec.env_create () and alloc = Memory.allocator () in
+  let ba = Memory.alloc alloc Types.Global Types.F32 8
+  and bb = Memory.alloc alloc Types.Global Types.F32 8 in
+  List.iter2 (Exec.bind env) [ c; a; b; idx; x ] [ Exec.UI 1; Exec.UB ba; Exec.UB bb; Exec.UI 2; Exec.UF 3. ];
+  (* an alias of [a] under another value *)
+  let a' = Value.fresh ~hint:"a_alias" gf in
+  Exec.bind env a' (Exec.UB ba);
+  (* a direct store: only [a]'s buffer is copied, once, aliases included;
+     the region's own allocation is not a live buffer *)
+  let written = Runtime.written_memrefs (region ~through_select:false) in
+  Alcotest.(check (option (list int))) "direct store writes a only" (Some [ a.Value.id ])
+    (Option.map (List.map (fun (v : Value.t) -> v.Value.id)) written);
+  let t = Runtime.clone_trial_env ~written env in
+  Alcotest.(check bool) "a is copied" false (buf_of t a == ba);
+  Alcotest.(check bool) "the alias follows the copy" true (buf_of t a' == buf_of t a);
+  Alcotest.(check bool) "b is shared" true (buf_of t b == bb);
+  (* through a select, the written buffer is unknown: copy them all *)
+  let written = Runtime.written_memrefs (region ~through_select:true) in
+  Alcotest.(check bool) "select falls back" true (written = None);
+  let t = Runtime.clone_trial_env ~written env in
+  Alcotest.(check bool) "a is copied" false (buf_of t a == ba);
+  Alcotest.(check bool) "b is copied" false (buf_of t b == bb);
+  Alcotest.(check bool) "the alias follows the copy" true (buf_of t a' == buf_of t a)
+
 let suite =
   [
     ( "exec",
@@ -289,5 +468,9 @@ let suite =
         !:"shared-memory bank conflicts" `Quick test_bank_conflicts;
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;
         QCheck_alcotest.to_alcotest prop_engines_agree;
+        QCheck_alcotest.to_alcotest prop_cow_clone;
+        !:"trial env: gaussian shares read-only buffers" `Quick test_trial_env_gaussian;
+        !:"trial env: store through a select copies every buffer" `Quick
+          test_trial_env_select_fallback;
       ] );
   ]
